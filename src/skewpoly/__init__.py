@@ -1,9 +1,12 @@
-"""Skew-shape symmetric polynomials by direct tableau enumeration.
+"""Skew-shape symmetric polynomials with exact integer coefficients.
 
 Three families over a skew shape: Schur (semistandard tableaux),
 stable Grothendieck (set-valued tableaux, signed, unbounded degree),
 and dual stable Grothendieck (reverse plane partitions with
-column-distinct weight).  On top of those: a ribbon algebra with
+column-distinct weight).  One layer-transfer engine counts all three,
+one variable at a time over the partitions between the inner and outer
+shape; tableau enumeration remains as the reference it is tested
+against.  On top of those: a ribbon algebra with
 irreducible factorization, bottleneck/overlap invariants with closed
 coefficient formulas, equality deciders with explicit evidence levels,
 and exhaustive coincidence search.

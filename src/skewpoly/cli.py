@@ -11,6 +11,7 @@ nondeterministic).  Exit status: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -225,8 +226,8 @@ def _cmd_expand(args, emitter: Emitter) -> int:
 def _cmd_coeff(args, emitter: Emitter) -> int:
     shape = parse_shape(args.shape)
     exps = _parse_monomial(args.monomial)
-    value = brute_coefficient(shape, args.kind, exps)
     closed = coeff_reports(shape, exps) if args.kind == "g" else []
+    value = closed[0].brute_force if closed else brute_coefficient(shape, args.kind, exps)
     record = {
         "shape": shape_syntax(shape),
         "kind": args.kind,
@@ -473,9 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     emitter = Emitter(args.format, args.verb, args.output_dir)
     try:
         return args.func(args, emitter)

@@ -1,28 +1,31 @@
 """Equivalence deciders and coincidence search over skew shapes.
 
-The pipeline is filter-then-enumerate: cheap invariants that g-equal
+The pipeline is filter-then-build: cheap invariants that g-equal
 shapes provably share (cell, row, and column counts; the bottleneck
 pair sums b_i + b_{n-i+1}; the sum of squared bottleneck counts; the
 multisets of k-row overlap compositions, which even Schur equality
-forces) run before any tableau enumeration, and a mismatch certifies
+forces) run before any polynomial is built, and a mismatch certifies
 inequality outright.
 
 Closed-form coefficient formulas in the bottleneck data are provided
-alongside brute-force enumeration oracles; the report type carries
-both values so a disagreement is surfaced rather than absorbed (two of
-the formulas are empirical, so the oracle is authoritative).
+alongside a brute-force count of the tableaux of one weight, the
+oracle; the report type carries both values so a disagreement is
+surfaced rather than absorbed (two of the formulas are empirical, so
+the oracle is authoritative).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterator, Sequence
 
 from .errors import InvalidArg, InvalidBound
 from .polynomials import (
     EXACT,
+    PARTIAL_VARS,
     EqualityVerdict,
     dual_grothendieck,
     equal,
@@ -38,11 +41,7 @@ from .shapes import (
     shape_syntax,
     transpose,
 )
-from .tableaux import (
-    rpp_monomial_count,
-    ssyt_monomial_count,
-    svt_monomial_count,
-)
+from .tableaux import RPP, SET_VALUED, SSYT, _coefficient
 
 Fingerprint = tuple
 
@@ -201,29 +200,24 @@ def coeff_x1cube_x2n(shape: SkewShape) -> int:
     return total
 
 
+_FAMILIES = {"s": SSYT, "g": RPP, "G": SET_VALUED}
+
+
 def brute_coefficient(shape: SkewShape, kind: str, exps: Sequence[int]) -> int:
-    """Coefficient of x1^e1 x2^e2 ... by targeted tableau enumeration.
+    """Coefficient of x1^e1 x2^e2 ... counted over tableaux of exactly
+    that weight.
 
     kind is "s", "g", or "G"; the G value carries the sign
     (-1)**(degree - cells).
     """
-    target = tuple(exps)
-    if any(e < 0 for e in target):
-        raise InvalidArg(f"exponents must be nonnegative, got {target}")
-    if kind == "g":
-        return rpp_monomial_count(shape, target)
-    if kind == "s":
-        return ssyt_monomial_count(shape, target)
-    if kind == "G":
-        count = svt_monomial_count(shape, target)
-        sign = 1 if (sum(target) - shape.cells) % 2 == 0 else -1
-        return sign * count
-    raise InvalidArg(f"unknown polynomial kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise InvalidArg(f"unknown polynomial kind {kind!r}")
+    return _coefficient(shape, _FAMILIES[kind], exps)
 
 
 @dataclass(frozen=True)
 class CoeffFormulaReport:
-    """A closed-form coefficient value next to its enumeration oracle."""
+    """A closed-form coefficient value next to its brute-force oracle."""
 
     shape: SkewShape
     monomial: tuple[int, ...]
@@ -253,40 +247,39 @@ def coeff_reports(shape: SkewShape, exps: Sequence[int]) -> list[CoeffFormulaRep
     Exponent patterns covered: (r, n-r+1) for the degree-(n+1) family,
     and the degree-(n+2) and -(n+3) pairs {2,n}, {3,n-1}, {3,n}.  Small
     column counts can match several families at once; each match is
-    reported.
+    reported.  The brute-force value is counted once, and only when
+    some closed form matches.
     """
     target = tuple(exps)
+    if any(e < 0 for e in target):
+        raise InvalidArg(f"exponents must be nonnegative, got {target}")
     n = shape.cols
-    oracle = brute_coefficient(shape, "g", target)
-    reports = []
+    forms = []
     if len(target) == 2 and all(e >= 1 for e in target):
         p, q = target
         if p + q == n + 1:
-            r = min(p, q)
-            reports.append(
-                CoeffFormulaReport(
-                    shape, target, "two_var", coeff_two_var(shape, r), oracle
-                )
-            )
+            forms.append(("two_var", coeff_two_var(shape, min(p, q))))
         if {p, q} == {2, n} and p + q == n + 2:
-            reports.append(
-                CoeffFormulaReport(
-                    shape, target, "x1sq_x2n", coeff_x1sq_x2n(shape), oracle
-                )
-            )
+            forms.append(("x1sq_x2n", coeff_x1sq_x2n(shape)))
         if n >= 2 and {p, q} == {3, n - 1} and p + q == n + 2:
-            reports.append(
-                CoeffFormulaReport(
-                    shape, target, "x1cube_x2nm1", coeff_x1cube_x2nm1(shape), oracle
-                )
-            )
+            forms.append(("x1cube_x2nm1", coeff_x1cube_x2nm1(shape)))
         if {p, q} == {3, n} and p + q == n + 3:
-            reports.append(
-                CoeffFormulaReport(
-                    shape, target, "x1cube_x2n", coeff_x1cube_x2n(shape), oracle
-                )
-            )
-    return reports
+            forms.append(("x1cube_x2n", coeff_x1cube_x2n(shape)))
+    if not forms:
+        return []
+    oracle = brute_coefficient(shape, "g", target)
+    return [
+        CoeffFormulaReport(shape, target, name, value, oracle)
+        for name, value in forms
+    ]
+
+
+def _var_budget(cells: int, budget_vars: int | None) -> int:
+    """Variables to compare polynomials of a shape with this many cells
+    in: the cell count, capped by the budget, and at least 1 unless the
+    shape is empty."""
+    m = cells if budget_vars is None else min(budget_vars, cells)
+    return max(m, 1) if cells else 0
 
 
 def g_equivalent(
@@ -295,15 +288,13 @@ def g_equivalent(
     """Decide g-equality of two shapes.
 
     The necessary filter runs first; a rejection is a certified
-    negative with no enumeration.  Otherwise the dual stable
+    negative with no polynomial built.  Otherwise the dual stable
     Grothendieck polynomials are compared in min(budget_vars, cells)
     variables, which is exact when that reaches the cell count.
     """
     if not necessary_filter(a, b):
         return EqualityVerdict(equal=False, evidence=EXACT)
-    cells = a.cells
-    m = cells if budget_vars is None else min(budget_vars, cells)
-    m = max(m, 1) if cells else 0
+    m = _var_budget(a.cells, budget_vars)
     return equal(dual_grothendieck(a, m), dual_grothendieck(b, m))
 
 
@@ -333,9 +324,7 @@ def schur_equivalent_shapes(
 ) -> EqualityVerdict:
     """Compare skew Schur polynomials in min(budget_vars, cells)
     variables (exact at the cell count)."""
-    cells = max(a.cells, b.cells)
-    m = cells if budget_vars is None else min(budget_vars, cells)
-    m = max(m, 1) if cells else 0
+    m = _var_budget(max(a.cells, b.cells), budget_vars)
     return equal(schur(a, m), schur(b, m))
 
 
@@ -398,29 +387,26 @@ def _resolve_bucket(
     shapes: tuple[SkewShape, ...], budget_vars: int | None
 ) -> list[tuple[tuple[SkewShape, ...], str, int | None]]:
     """Group one fingerprint bucket into exact-equality classes of the
-    g polynomials at the budgeted variable count."""
-    groups: dict[tuple, list[SkewShape]] = {}
+    g polynomials at the budgeted variable count.
+
+    A bucket of one shape is its own class, and its g is not built; its
+    evidence still records the variable budget.
+    """
+    groups: dict[tuple | None, list[SkewShape]] = {}
     evidence = EXACT
     budget = None
     for shape in shapes:
-        cells = shape.cells
-        m = cells if budget_vars is None else min(budget_vars, cells)
-        m = max(m, 1) if cells else 0
-        if m < cells:
-            evidence = "partial_vars"
+        m = _var_budget(shape.cells, budget_vars)
+        if m < shape.cells:
+            evidence = PARTIAL_VARS
             budget = m
-        poly = dual_grothendieck(shape, m)
-        key = tuple(poly.terms())
+        key = tuple(dual_grothendieck(shape, m).terms()) if len(shapes) > 1 else None
         groups.setdefault(key, []).append(shape)
     out = []
     for members in groups.values():
         members.sort(key=shape_syntax)
         out.append((tuple(members), evidence, budget))
     return out
-
-
-def _resolve_bucket_star(args) -> list:
-    return _resolve_bucket(*args)
 
 
 def search_coincidences_iter(
@@ -453,7 +439,8 @@ def search_coincidences_iter(
     for shape in shapes:
         buckets.setdefault(fingerprint(shape), []).append(shape)
     ordered = sorted(buckets.items(), key=lambda kv: kv[0])
-    tasks = [(tuple(sorted(v, key=shape_syntax)), budget_vars) for _, v in ordered]
+    tasks = [tuple(sorted(v, key=shape_syntax)) for _, v in ordered]
+    resolve = partial(_resolve_bucket, budget_vars=budget_vars)
     start = time.monotonic()
 
     def emit(fp: Fingerprint, groups) -> Iterator[EquivClass]:
@@ -471,14 +458,14 @@ def search_coincidences_iter(
 
         with Pool(jobs) as pool:
             for (fp, _), groups in zip(
-                ordered, pool.imap(_resolve_bucket_star, tasks)
+                ordered, pool.imap(resolve, tasks)
             ):
                 yield from emit(fp, groups)
                 if time_limit is not None and time.monotonic() - start > time_limit:
                     return
     else:
         for (fp, _), task in zip(ordered, tasks):
-            yield from emit(fp, _resolve_bucket_star(task))
+            yield from emit(fp, resolve(task))
             if time_limit is not None and time.monotonic() - start > time_limit:
                 return
 
@@ -571,8 +558,7 @@ def check_staircase(
         shape = normalize(delta, inner)
         flipped = transpose(shape)
         cells = shape.cells
-        gm = cells if g_budget_vars is None else min(g_budget_vars, cells)
-        gm = max(gm, 1) if cells else 0
+        gm = _var_budget(cells, g_budget_vars)
         gv = equal(dual_grothendieck(shape, gm), dual_grothendieck(flipped, gm))
         Gm = 4 if budget_vars is None else budget_vars
         Gd = cells + 2 if budget_degree is None else budget_degree
@@ -581,30 +567,14 @@ def check_staircase(
     return StaircaseReport(n, tuple(cases))
 
 
-def _partitions_of(total: int, largest: int | None = None) -> Iterator[Partition]:
-    if total == 0:
-        yield ()
-        return
-    top = total if largest is None else min(largest, total)
-    for first in range(top, 0, -1):
-        for rest in _partitions_of(total - first, first):
-            yield (first,) + rest
-
-
 def degree_slice_coeffs(shape: SkewShape, degree: int) -> dict[tuple[int, ...], int]:
     """Coefficient map of g restricted to one exact degree.
 
-    One targeted count per exponent partition of the degree; zero
-    coefficients are omitted.
+    The degree-d terms of g in d variables, which hold every exponent
+    partition of d; zero coefficients are omitted.
     """
-    if degree == 0:
-        return {(): 1} if shape.cells == 0 else {}
-    out = {}
-    for key in _partitions_of(degree):
-        count = rpp_monomial_count(shape, key)
-        if count:
-            out[key] = count
-    return out
+    poly = dual_grothendieck(shape, max(degree, 0))
+    return {key: c for key, c in poly.terms() if sum(key) == degree}
 
 
 def two_var_vector(shape: SkewShape) -> tuple[int, ...]:

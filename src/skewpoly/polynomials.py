@@ -8,9 +8,9 @@ suffices.  degree_bound caps the stored degree; complete means the
 restriction genuinely has no terms above the bound (true for s and g,
 false for a G truncation, whose series has terms of every degree).
 
-The three constructors fold tableau enumerations into orbit totals and
-divide by orbit sizes; a failed exact division would mean the raw
-enumeration was not symmetric, which is reported rather than rounded.
+The three constructors take their coefficients from the layer-transfer
+engine in skewpoly.tableaux, which counts each orbit once at its sorted
+key; verify_symmetry checks that premise against enumeration.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .tableaux import (
     RPP,
     SET_VALUED,
     SSYT,
+    _series,
     enumerate_rpp,
     enumerate_ssyt,
     enumerate_svt,
-    fold_rpp,
-    fold_ssyt,
-    fold_svt,
 )
 
 Key = tuple[int, ...]
@@ -67,27 +65,6 @@ def orbit_size(key: Key, num_vars: int) -> int:
         if run > 1:
             denom *= run
     return factorial(num_vars) // denom
-
-
-def divide_orbits(totals: Mapping[Key, int], num_vars: int) -> dict[Key, int]:
-    """Turn raw orbit totals into per-monomial coefficients.
-
-    Raises NotSymmetric when a total is not an exact multiple of its
-    orbit size, the aggregate witness that the underlying enumeration
-    failed to be symmetric.
-    """
-    coeffs: dict[Key, int] = {}
-    for key, total in totals.items():
-        if total == 0:
-            continue
-        size = orbit_size(key, num_vars)
-        if size == 0 or total % size != 0:
-            raise NotSymmetric(
-                f"orbit total {total} on key {key} is not a multiple of"
-                f" orbit size {size} in {num_vars} variables"
-            )
-        coeffs[key] = total // size
-    return coeffs
 
 
 class TruncatedSymPoly:
@@ -338,9 +315,8 @@ def schur(shape: SkewShape, num_vars: int) -> TruncatedSymPoly:
 
     Homogeneous of degree cells(shape); complete at any variable count.
     """
-    totals = fold_ssyt(shape, num_vars)
     return TruncatedSymPoly(
-        num_vars, shape.cells, True, divide_orbits(totals, num_vars)
+        num_vars, shape.cells, True, _series(shape, SSYT, num_vars, shape.cells)
     )
 
 
@@ -350,9 +326,8 @@ def dual_grothendieck(shape: SkewShape, num_vars: int) -> TruncatedSymPoly:
     Every term has degree between the column count and cells(shape),
     so the restriction is complete at any variable count.
     """
-    totals = fold_rpp(shape, num_vars)
     return TruncatedSymPoly(
-        num_vars, shape.cells, True, divide_orbits(totals, num_vars)
+        num_vars, shape.cells, True, _series(shape, RPP, num_vars, shape.cells)
     )
 
 
@@ -367,9 +342,11 @@ def grothendieck(shape: SkewShape, num_vars: int, degree_bound: int) -> Truncate
         raise InvalidBound(
             f"degree bound {degree_bound} is below the {shape.cells} cells of {shape}"
         )
-    totals = fold_svt(shape, num_vars, degree_bound)
     return TruncatedSymPoly(
-        num_vars, degree_bound, False, divide_orbits(totals, num_vars)
+        num_vars,
+        degree_bound,
+        False,
+        _series(shape, SET_VALUED, num_vars, degree_bound),
     )
 
 
@@ -420,8 +397,8 @@ def verify_symmetry(
     """Recompute raw exponent vectors from the filling stream and check
     that coefficients are constant on every symmetry orbit.
 
-    This is the debug-mode witness that the folded construction is
-    symmetric; it materializes full vectors and is meant for small
+    This is the witness that the engine may count each orbit once at
+    its sorted key; it materializes full vectors and is meant for small
     shapes only.  Raises NotSymmetric on the first violating orbit.
     """
     raw: dict[tuple[int, ...], int] = {}

@@ -1,4 +1,5 @@
-"""Tableau enumeration over skew shapes.
+"""Tableaux over skew shapes: enumeration, and the layer-transfer engine
+that counts them by weight.
 
 Three filling families over a common cell grid:
 
@@ -16,18 +17,27 @@ contain no duplicates, and yield in lexicographic order of the
 column-major sequence of per-cell value tuples.  The zero-cell shape
 yields exactly one empty filling.
 
-The fold_* and *_monomial_count functions walk the same trees without
-building Filling objects; polynomial construction uses them.
+The enumerations are the reference that tests compare against and the
+input of the lattice-path bijection.  Counting goes through one engine
+instead: in a filling with entries at most v, the cells whose largest
+entry is at most v form a partition nu between inner and outer, so a
+filling is a chain of partitions, one layer per entry value.  Layer v
+adds the cells whose largest entry is v (see _moves for each family's
+rule and weight).  _series walks weakly decreasing exponent keys depth
+first, sharing prefixes, and gives every coefficient of a truncated
+series; _coefficient runs the same layers on one exponent vector and
+backs the *_monomial_count functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidArg, InvalidBound
-from .shapes import SkewShape
+from .shapes import Partition, SkewShape
 
 SSYT = "ssyt"
 SET_VALUED = "svt"
@@ -177,15 +187,6 @@ class Filling:
         return f"Filling({self.kind}, {self.shape}, {' / '.join(rows)})"
 
 
-def weight(filling: Filling) -> dict[int, int]:
-    return filling.weight()
-
-
-def sorted_key(exps: Mapping[int, int]) -> tuple[int, ...]:
-    """Exponent partition of a weight: positive exponents, sorted down."""
-    return tuple(sorted((e for e in exps.values() if e), reverse=True))
-
-
 def _check_entry_bound(max_entry: int) -> None:
     if max_entry < 0:
         raise InvalidBound(f"max_entry must be nonnegative, got {max_entry}")
@@ -289,143 +290,186 @@ def enumerate_svt(shape: SkewShape, max_entry: int, max_size: int) -> Iterator[F
     yield from rec(0, 0)
 
 
-def fold_rpp(shape: SkewShape, max_entry: int) -> dict[tuple[int, ...], int]:
-    """Raw monomial totals of the rpp family, keyed by exponent partition.
+def _successors(
+    nu: Partition, outer: Partition, strip: bool
+) -> list[tuple[Partition, int]]:
+    """(nu2, size) for every partition nu2 with nu <= nu2 <= outer, built
+    row by row.
 
-    Each filling with entries in 1..max_entry contributes 1 to the key
-    sorted from its weight; totals cover whole symmetry orbits.
+    With strip, only horizontal strips nu2/nu, and size is their cell
+    count.  Otherwise any nu2, and size is the number of columns of
+    nu2/nu: each column is counted at its top cell, which lies in row 1
+    or below a cell of nu, so row i > 1 adds min(nu2_i, nu_(i-1)) - nu_i.
     """
-    _check_entry_bound(max_entry)
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    totals: dict[tuple[int, ...], int] = {}
-    if count == 0:
-        return {(): 1}
-    if max_entry == 0:
-        return totals
-    values = [0] * count
-    exps = [0] * (max_entry + 1)
-
-    def rec(i: int) -> None:
-        if i == count:
-            key = tuple(sorted((e for e in exps if e), reverse=True))
-            totals[key] = totals.get(key, 0) + 1
-            return
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and values[u] > lo:
-            lo = values[u]
-        if l >= 0 and values[l] > lo:
-            lo = values[l]
-        if u < 0:
-            for v in range(lo, max_entry + 1):
-                values[i] = v
-                exps[v] += 1
-                rec(i + 1)
-                exps[v] -= 1
+    found: list[tuple[Partition, int]] = [((), 0)]
+    for i, (lo, hi) in enumerate(zip(nu, outer)):
+        if i == 0:
+            found = [((p,), p - lo) for p in range(lo, hi + 1)]
+        elif strip:
+            top = min(hi, nu[i - 1])
+            found = [(pre + (p,), e + p - lo) for pre, e in found for p in range(lo, top + 1)]
         else:
-            uv = values[u]
-            for v in range(lo, max_entry + 1):
-                values[i] = v
-                if v != uv:
-                    exps[v] += 1
-                    rec(i + 1)
-                    exps[v] -= 1
-                else:
-                    rec(i + 1)
-
-    rec(0)
-    return totals
+            above = nu[i - 1]
+            found = [
+                (pre + (p,), e + min(p, above) - lo)
+                for pre, e in found
+                for p in range(lo, min(hi, pre[-1]) + 1)
+            ]
+    return found
 
 
-def fold_ssyt(shape: SkewShape, max_entry: int) -> dict[tuple[int, ...], int]:
-    """Raw monomial totals of the ssyt family, keyed by exponent partition."""
-    _check_entry_bound(max_entry)
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    totals: dict[tuple[int, ...], int] = {}
-    if count == 0:
-        return {(): 1}
-    if max_entry == 0:
-        return totals
-    values = [0] * count
-    exps = [0] * (max_entry + 1)
+def _moves(
+    nu: Partition, outer: Partition, kind: str
+) -> Iterator[tuple[Partition, int, int]]:
+    """(nu2, exponent, weight) for each way one layer takes nu to nu2.
 
-    def rec(i: int) -> None:
-        if i == count:
-            key = tuple(sorted((e for e in exps if e), reverse=True))
-            totals[key] = totals.get(key, 0) + 1
-            return
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and values[u] + 1 > lo:
-            lo = values[u] + 1
-        if l >= 0 and values[l] > lo:
-            lo = values[l]
-        for v in range(lo, max_entry + 1):
-            values[i] = v
-            exps[v] += 1
-            rec(i + 1)
-            exps[v] -= 1
-
-    rec(0)
-    return totals
-
-
-def fold_svt(shape: SkewShape, max_entry: int, max_size: int) -> dict[tuple[int, ...], int]:
-    """Signed raw monomial totals of the svt family.
-
-    A filling of total size s carries sign (-1)**(s - cells); totals are
-    the signed orbit sums keyed by exponent partition.
+    A layer v adds the cells whose largest entry is v.  For rpp that is
+    any nu2/nu, weighted by its columns; for ssyt and svt it is a
+    horizontal strip.  An svt layer may also put v, as a non-largest
+    entry, into any j of the `free` cells that can be added to nu2 and
+    sit below a cell of nu, for exponent |nu2/nu| + j and sign (-1)**j.
     """
-    _check_entry_bound(max_entry)
-    if max_size < shape.cells:
-        raise InvalidBound(
-            f"max_size {max_size} is below the {shape.cells} cells of {shape}"
+    if kind != SET_VALUED:
+        for nu2, added in _successors(nu, outer, kind == SSYT):
+            yield nu2, added, 1
+        return
+    for nu2, added in _successors(nu, outer, True):
+        free = sum(
+            1
+            for i, (p, lam) in enumerate(zip(nu2, outer))
+            if p < lam and (i == 0 or p < nu[i - 1])
         )
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    if count == 0:
-        return {(): 1}
-    totals: dict[tuple[int, ...], int] = {}
-    maxval = [0] * count
-    exps = [0] * (max_entry + 1)
-
-    def rec(i: int, used: int) -> None:
-        if i == count:
-            key = tuple(sorted((e for e in exps if e), reverse=True))
-            sign = 1 if (used - count) % 2 == 0 else -1
-            totals[key] = totals.get(key, 0) + sign
-            return
-        room = max_size - used - (count - 1 - i)
-        if room < 1:
-            return
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and maxval[u] + 1 > lo:
-            lo = maxval[u] + 1
-        if l >= 0 and maxval[l] > lo:
-            lo = maxval[l]
-
-        def extend(v_from: int, size: int) -> None:
-            for v in range(v_from, max_entry + 1):
-                exps[v] += 1
-                maxval[i] = v
-                rec(i + 1, used + size + 1)
-                if size + 1 < room:
-                    extend(v + 1, size + 1)
-                exps[v] -= 1
-
-        extend(lo, 0)
-
-    rec(0, 0)
-    return totals
+        for j in range(free + 1):
+            yield nu2, added + j, (-1) ** j * comb(free, j)
 
 
-def _target_total(target: Sequence[int]) -> int:
+def _need(nu: Partition, outer: Partition, kind: str) -> int:
+    """Least total exponent the remaining layers must add to reach
+    outer from nu: the columns of outer/nu for rpp (counted as in
+    _successors), its cells otherwise."""
+    if kind != RPP:
+        return sum(outer) - sum(nu)
+    return sum(
+        min(lam, nu[i - 1]) - p if i else lam - p
+        for i, (p, lam) in enumerate(zip(nu, outer))
+    )
+
+
+# A state's moves: target state numbers by exponent, then weight.
+_Moves = dict[int, dict[int, list[int]]]
+
+
+class _Layers:
+    """The partitions nu with inner <= nu <= outer of one shape, numbered
+    once, with their moves under one family.
+
+    States are numbered in lexicographic order, so the inner partition
+    is state 0 and the outer one the last state.  The moves of a state
+    are found on first use and kept as lists of state numbers grouped
+    by exponent, then weight.
+    """
+
+    __slots__ = ("kind", "outer", "states", "index", "need", "table", "final")
+
+    def __init__(self, shape: SkewShape, kind: str):
+        self.kind = kind
+        self.outer = shape.outer
+        self.states = [nu for nu, _ in _successors(shape.inner_padded, shape.outer, False)]
+        self.index = {nu: i for i, nu in enumerate(self.states)}
+        self.need = [_need(nu, self.outer, kind) for nu in self.states]
+        self.table: list[_Moves | None] = [None] * len(self.states)
+        self.final = len(self.states) - 1
+
+    def moves(self, i: int) -> _Moves:
+        found = self.table[i]
+        if found is None:
+            found = self.table[i] = {}
+            for nu2, e, w in _moves(self.states[i], self.outer, self.kind):
+                found.setdefault(e, {}).setdefault(w, []).append(self.index[nu2])
+        return found
+
+    def step(self, vec: dict[int, int], e: int, limit: int) -> dict[int, int]:
+        """The states that one layer of exponent e reaches from vec,
+        keeping those whose need fits in limit."""
+        need = self.need
+        out: dict[int, int] = {}
+        for i, c in vec.items():
+            for w, targets in self.moves(i).get(e, {}).items():
+                cw = c * w
+                for t in targets:
+                    if need[t] <= limit:
+                        out[t] = out.get(t, 0) + cw
+        return out
+
+
+def _descend(
+    layers: _Layers,
+    vec: dict[int, int],
+    key: list[int],
+    cap: int,
+    left: int,
+    vars_left: int,
+    out: dict[tuple[int, ...], int],
+) -> None:
+    """Depth-first walk over weakly decreasing exponent keys.
+
+    vec holds the states that key's layers reach, with their signed
+    counts; its count at the outer partition is the coefficient of
+    key.  Children extend key by an exponent of at most cap, within the
+    degree left and the variables left.
+    """
+    c = vec.get(layers.final)
+    if c:
+        out[tuple(key)] = c
+    if not vars_left:
+        return
+    for e in range(1, min(cap, left) + 1):
+        nxt = layers.step(vec, e, min(left - e, e * (vars_left - 1)))
+        if nxt:
+            key.append(e)
+            _descend(layers, nxt, key, e, left - e, vars_left - 1, out)
+            key.pop()
+
+
+def _series(
+    shape: SkewShape, kind: str, num_vars: int, degree_bound: int
+) -> dict[tuple[int, ...], int]:
+    """Coefficients of the family's series in num_vars variables up to
+    degree_bound, one per exponent partition.
+
+    The coefficient of x1^k1 ... xj^kj is built one variable at a time,
+    so each symmetry orbit is counted once at its sorted key.  svt
+    coefficients carry the sign (-1)**(degree - cells).
+    """
+    _check_entry_bound(num_vars)
+    layers = _Layers(shape, kind)
+    out: dict[tuple[int, ...], int] = {}
+    _descend(layers, {0: 1}, [], degree_bound, degree_bound, num_vars, out)
+    return out
+
+
+def _coefficient(shape: SkewShape, kind: str, target: Sequence[int]) -> int:
+    """Signed coefficient of x1^t1 x2^t2 ... in the family's series,
+    one layer per entry of target.
+
+    States stay partitions and moves are generated where they are used:
+    nothing is numbered or kept beyond the current layer.
+    """
+    target = tuple(target)
     if any(t < 0 for t in target):
-        raise InvalidArg(f"exponents must be nonnegative, got {tuple(target)}")
-    return sum(target)
+        raise InvalidArg(f"exponents must be nonnegative, got {target}")
+    outer = shape.outer
+    vec = {shape.inner_padded: 1}
+    left = sum(target)
+    for e in target:
+        left -= e
+        nxt: dict[Partition, int] = {}
+        for nu, c in vec.items():
+            for nu2, f, w in _moves(nu, outer, kind):
+                if f == e and _need(nu2, outer, kind) <= left:
+                    nxt[nu2] = nxt.get(nu2, 0) + c * w
+        vec = nxt
+    return vec.get(outer, 0)
 
 
 def rpp_monomial_count(shape: SkewShape, target: Sequence[int]) -> int:
@@ -434,83 +478,12 @@ def rpp_monomial_count(shape: SkewShape, target: Sequence[int]) -> int:
     target[v-1] is the required number of columns containing v; entries
     beyond len(target) are forbidden.
     """
-    total = _target_total(target)
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    if count == 0:
-        return 1 if total == 0 else 0
-    k = len(target)
-    if k == 0:
-        return 0
-    quota = (0,) + tuple(target)
-    values = [0] * count
-    exps = [0] * (k + 1)
-    # each still-unstarted column will contribute at least one unit
-    min_remaining = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        min_remaining[i] = min_remaining[i + 1] + (1 if up[i] < 0 else 0)
-
-    def rec(i: int, placed: int) -> int:
-        if i == count:
-            return 1 if placed == total else 0
-        need = total - placed
-        if need > count - i or need < min_remaining[i]:
-            return 0
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and values[u] > lo:
-            lo = values[u]
-        if l >= 0 and values[l] > lo:
-            lo = values[l]
-        found = 0
-        uv = values[u] if u >= 0 else 0
-        for v in range(lo, k + 1):
-            if u >= 0 and v == uv:
-                values[i] = v
-                found += rec(i + 1, placed)
-            elif exps[v] < quota[v]:
-                values[i] = v
-                exps[v] += 1
-                found += rec(i + 1, placed + 1)
-                exps[v] -= 1
-        return found
-
-    return rec(0, 0)
+    return _coefficient(shape, RPP, target)
 
 
 def ssyt_monomial_count(shape: SkewShape, target: Sequence[int]) -> int:
     """Number of ssyt fillings whose weight is exactly the target."""
-    total = _target_total(target)
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    if count == 0:
-        return 1 if total == 0 else 0
-    if total != count or not target:
-        return 0
-    k = len(target)
-    quota = (0,) + tuple(target)
-    values = [0] * count
-    exps = [0] * (k + 1)
-
-    def rec(i: int) -> int:
-        if i == count:
-            return 1
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and values[u] + 1 > lo:
-            lo = values[u] + 1
-        if l >= 0 and values[l] > lo:
-            lo = values[l]
-        found = 0
-        for v in range(lo, k + 1):
-            if exps[v] < quota[v]:
-                values[i] = v
-                exps[v] += 1
-                found += rec(i + 1)
-                exps[v] -= 1
-        return found
-
-    return rec(0)
+    return _coefficient(shape, SSYT, target)
 
 
 def svt_monomial_count(shape: SkewShape, target: Sequence[int]) -> int:
@@ -519,99 +492,7 @@ def svt_monomial_count(shape: SkewShape, target: Sequence[int]) -> int:
     The count is unsigned; the corresponding series coefficient is this
     count times (-1)**(sum(target) - cells).
     """
-    total = _target_total(target)
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    if count == 0:
-        return 1 if total == 0 else 0
-    if total < count or not target:
-        return 0
-    k = len(target)
-    quota = (0,) + tuple(target)
-    maxval = [0] * count
-    exps = [0] * (k + 1)
-
-    def rec(i: int, placed: int) -> int:
-        if i == count:
-            return 1 if placed == total else 0
-        need = total - placed
-        if need < count - i or need > (count - i) * k:
-            return 0
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and maxval[u] + 1 > lo:
-            lo = maxval[u] + 1
-        if l >= 0 and maxval[l] > lo:
-            lo = maxval[l]
-        found = 0
-
-        def extend(v_from: int, size: int) -> None:
-            nonlocal found
-            for v in range(v_from, k + 1):
-                if exps[v] >= quota[v]:
-                    continue
-                exps[v] += 1
-                maxval[i] = v
-                found += rec(i + 1, placed + size + 1)
-                extend(v + 1, size + 1)
-                exps[v] -= 1
-
-        extend(lo, 0)
-        return found
-
-    return rec(0, 0)
-
-
-def rpp_degree_slice(shape: SkewShape, degree: int) -> dict[tuple[int, ...], int]:
-    """Raw totals restricted to rpp weights of one exact degree.
-
-    Entries run over 1..degree, enough variables to reach every
-    exponent partition of that degree.  Intended for small slices just
-    above the column count; the walk prunes any prefix whose eventual
-    degree must exceed the target.
-    """
-    if degree < 0:
-        raise InvalidBound(f"degree must be nonnegative, got {degree}")
-    cells, up, left, _ = _grid(shape)
-    count = len(cells)
-    if count == 0:
-        return {(): 1} if degree == 0 else {}
-    totals: dict[tuple[int, ...], int] = {}
-    max_entry = degree
-    if max_entry == 0:
-        return totals
-    values = [0] * count
-    exps = [0] * (max_entry + 1)
-    cols_after = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        cols_after[i] = cols_after[i + 1] + (1 if up[i] < 0 else 0)
-
-    def rec(i: int, deg: int) -> None:
-        if i == count:
-            if deg == degree:
-                key = tuple(sorted((e for e in exps if e), reverse=True))
-                totals[key] = totals.get(key, 0) + 1
-            return
-        if deg + cols_after[i] > degree:
-            return
-        u, l = up[i], left[i]
-        lo = 1
-        if u >= 0 and values[u] > lo:
-            lo = values[u]
-        if l >= 0 and values[l] > lo:
-            lo = values[l]
-        uv = values[u] if u >= 0 else 0
-        for v in range(lo, max_entry + 1):
-            values[i] = v
-            if u >= 0 and v == uv:
-                rec(i + 1, deg)
-            elif deg < degree:
-                exps[v] += 1
-                rec(i + 1, deg + 1)
-                exps[v] -= 1
-
-    rec(0, 0)
-    return totals
+    return abs(_coefficient(shape, SET_VALUED, target))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 """Command-line surface: golden outputs, JSON determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewpoly
+import skewpoly.equivalence as equivalence
 from skewpoly.cli import _parse_monomial, main
 from skewpoly.errors import ParseError
 
@@ -206,3 +212,57 @@ class TestExitCodes:
         code, out, _ = run(capsys, "equal", "--kind", "g", "2,1", "3,1/1")
         assert code == 0
         assert "not equal" in out
+
+
+class TestRepeatedCalls:
+    def test_coeff_counts_the_coefficient_once(self, capsys, monkeypatch):
+        counted = []
+        real = equivalence._coefficient
+
+        def counting(*args):
+            counted.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(equivalence, "_coefficient", counting)
+        code, out, _ = run(capsys, "coeff", "2,2/1", "--monomial", "x1^2 x2")
+        assert code == 0
+        assert "two_var closed form = 1 (agrees)" in out
+        assert len(counted) == 1
+        counted.clear()
+        code, out, _ = run(capsys, "coeff", "2,2/1", "--monomial", "x1 x2 x3")
+        assert code == 0
+        assert "coefficient of x1 x2 x3 in g: 2" in out
+        assert "closed form" not in out
+        assert len(counted) == 1
+
+    def test_successive_calls_print_what_each_prints_alone(self, capsys):
+        calls = [
+            ["equal", "--kind", "g", "2,1", "2,2/1"],
+            ["--format", "json", "poly", "--kind", "s", "--shape", "2,1", "--vars", "2"],
+            ["poly", "--kind", "x", "--shape", "2,1"],
+            ["factor", "(2,1,2,3,1)"],
+            ["--format", "json", "equal", "--kind", "g", "2,1", "2,2/1"],
+            ["bottlenecks", "2,1"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(skewpoly.__file__).parents[1])}
+        codes = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            alone = subprocess.run(
+                [sys.executable, "-m", "skewpoly.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert (code, got.out, got.err) == (
+                alone.returncode,
+                alone.stdout,
+                alone.stderr,
+            ), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 0, 0, 0]

@@ -247,6 +247,28 @@ class TestSearch:
             syntaxes = sorted(shape_syntax(s) for s in cl.members)
             assert shape_syntax(cl.representative) == syntaxes[0]
 
+    def test_singleton_buckets_build_no_polynomial(self, monkeypatch):
+        import skewpoly.equivalence as equivalence
+
+        built = []
+        real = equivalence.dual_grothendieck
+
+        def counting(shape, m):
+            built.append(shape)
+            return real(shape, m)
+
+        monkeypatch.setattr(equivalence, "dual_grothendieck", counting)
+        classes = search_coincidences(5, "skew", budget_vars=3)
+        buckets = {}
+        for sh in enumerate_shapes(5):
+            buckets.setdefault(fingerprint(sh), []).append(sh)
+        shared = [sh for group in buckets.values() if len(group) > 1 for sh in group]
+        assert sorted(built, key=shape_syntax) == sorted(shared, key=shape_syntax)
+        singles = [cl for cl in classes if len(buckets[cl.fingerprint]) == 1]
+        assert singles
+        for cl in singles:
+            assert cl.evidence == PARTIAL_VARS and cl.budget == 3
+
     def test_class_records_serialize(self):
         cl = search_coincidences(3, "skew", budget_vars=3)[0]
         obj = cl.to_json_obj()

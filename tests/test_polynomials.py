@@ -8,14 +8,12 @@ from skewpoly.errors import (
     IncomparableTruncation,
     InvalidArg,
     InvalidBound,
-    NotSymmetric,
 )
 from skewpoly.polynomials import (
     EXACT,
     PARTIAL_DEGREE,
     PARTIAL_VARS,
     TruncatedSymPoly,
-    divide_orbits,
     dual_grothendieck,
     equal,
     grothendieck,
@@ -188,8 +186,6 @@ class TestArithmetic:
         assert orbit_size((2, 1), 3) == 6
         assert orbit_size((1, 1), 3) == 3
         assert orbit_size((2, 2, 1), 2) == 0
-        with pytest.raises(NotSymmetric):
-            divide_orbits({(1,): 1}, 2)
 
 
 class TestSchurExpansion:

@@ -1,10 +1,15 @@
-"""Tableau families: validation, enumeration, folds, targeted counts,
-and the two-entry lattice-path bijection."""
+"""Tableau families: validation, enumeration, the layer-transfer engine
+against enumeration, targeted counts, and the two-entry lattice-path
+bijection."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewpoly.equivalence import brute_coefficient, enumerate_shapes
 from skewpoly.errors import InvalidArg, InvalidBound
+from skewpoly.polynomials import dual_grothendieck, grothendieck, schur
 from skewpoly.shapes import EMPTY_SHAPE, normalize, parse_shape
 from skewpoly.tableaux import (
     Filling,
@@ -12,13 +17,9 @@ from skewpoly.tableaux import (
     enumerate_rpp,
     enumerate_ssyt,
     enumerate_svt,
-    fold_rpp,
-    fold_ssyt,
-    fold_svt,
     path_to_rpp12,
     rpp12_to_path,
     rpp_monomial_count,
-    sorted_key,
     ssyt_monomial_count,
     svt_monomial_count,
 )
@@ -128,41 +129,82 @@ class TestEnumeration:
         assert len(ssyt) <= len(rpps)
 
 
-class TestFolds:
-    @staticmethod
-    def aggregate(fillings, signed=False, cells=0):
-        totals = {}
-        for f in fillings:
-            key = sorted_key(f.weight())
-            sign = 1
-            if signed and (f.size - cells) % 2 == 1:
-                sign = -1
-            totals[key] = totals.get(key, 0) + sign
-        return {k: v for k, v in totals.items() if v}
+def shapes_upto(cells: int):
+    return [sh for n in range(cells + 1) for sh in enumerate_shapes(n)]
 
-    @given(small_shapes(), st.integers(min_value=1, max_value=3))
-    @settings(deadline=None, max_examples=30)
-    def test_fold_rpp_matches_enumeration(self, shape, max_entry):
-        assert fold_rpp(shape, max_entry) == self.aggregate(
-            enumerate_rpp(shape, max_entry)
-        )
 
-    @given(small_shapes(), st.integers(min_value=1, max_value=3))
-    @settings(deadline=None, max_examples=30)
-    def test_fold_ssyt_matches_enumeration(self, shape, max_entry):
-        assert fold_ssyt(shape, max_entry) == self.aggregate(
-            enumerate_ssyt(shape, max_entry)
-        )
+def tally(fillings, k, signed_cells=None):
+    """Fillings counted by exponent vector in k variables; with
+    signed_cells, each carries the sign (-1)**(size - signed_cells)."""
+    counts = {}
+    for f in fillings:
+        w = f.weight()
+        vec = tuple(w.get(v, 0) for v in range(1, k + 1))
+        sign = -1 if signed_cells is not None and (f.size - signed_cells) % 2 else 1
+        counts[vec] = counts.get(vec, 0) + sign
+    return counts
 
-    @given(small_shapes(), st.integers(min_value=1, max_value=3))
-    @settings(deadline=None, max_examples=30)
-    def test_fold_svt_matches_enumeration(self, shape, max_entry):
-        bound = shape.cells + 2
-        assert fold_svt(shape, max_entry, bound) == self.aggregate(
-            enumerate_svt(shape, max_entry, bound),
-            signed=True,
-            cells=shape.cells,
-        )
+
+def sorted_terms(counts):
+    """The counts at weakly decreasing exponent vectors, keyed by
+    their exponent partitions: the coefficients of a symmetric series,
+    read without dividing by orbit sizes."""
+    return {
+        tuple(e for e in vec if e): c
+        for vec, c in counts.items()
+        if c and list(vec) == sorted(vec, reverse=True)
+    }
+
+
+class TestEngine:
+    """The layer-transfer engine against enumeration, on every shape up
+    to a fixed size."""
+
+    def test_schur_matches_enumeration(self):
+        for sh in shapes_upto(6):
+            for m in {1, 2, sh.cells}:
+                want = sorted_terms(tally(enumerate_ssyt(sh, m), m))
+                assert dict(schur(sh, m).terms()) == want, (str(sh), m)
+
+    def test_dual_grothendieck_matches_enumeration(self):
+        for sh in shapes_upto(6):
+            for m in {1, 2, sh.cells}:
+                want = sorted_terms(tally(enumerate_rpp(sh, m), m))
+                assert dict(dual_grothendieck(sh, m).terms()) == want, (str(sh), m)
+
+    def test_grothendieck_matches_enumeration(self):
+        for sh in shapes_upto(5):
+            bound = sh.cells + 2
+            for m in range(1, 5):
+                fillings = enumerate_svt(sh, m, bound)
+                want = sorted_terms(tally(fillings, m, signed_cells=sh.cells))
+                assert dict(grothendieck(sh, m, bound).terms()) == want, (str(sh), m)
+
+    def test_targeted_counts_match_enumeration(self):
+        vectors = list(itertools.product(range(4), repeat=3))
+        for sh in shapes_upto(5):
+            rpp = tally(enumerate_rpp(sh, 3), 3)
+            ssyt = tally(enumerate_ssyt(sh, 3), 3)
+            svt = tally(enumerate_svt(sh, 3, 9), 3)
+            for vec in vectors:
+                assert rpp_monomial_count(sh, vec) == rpp.get(vec, 0), (str(sh), vec)
+                assert ssyt_monomial_count(sh, vec) == ssyt.get(vec, 0), (str(sh), vec)
+                assert svt_monomial_count(sh, vec) == svt.get(vec, 0), (str(sh), vec)
+
+    def test_targeted_coefficients_are_symmetric(self):
+        # every permutation of an exponent vector has the coefficient
+        # that the series stores once, at its sorted key
+        vectors = list(itertools.product(range(4), repeat=3))
+        for sh in shapes_upto(5):
+            series = {
+                "s": schur(sh, 3),
+                "g": dual_grothendieck(sh, 3),
+                "G": grothendieck(sh, 3, 9),
+            }
+            for kind, poly in series.items():
+                for vec in vectors:
+                    got = brute_coefficient(sh, kind, vec)
+                    assert got == poly.coefficient(vec), (str(sh), kind, vec)
 
 
 class TestTargetedCounts:
